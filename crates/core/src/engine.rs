@@ -4,9 +4,8 @@
 
 use crate::metrics::AbortReason;
 use crate::payload::{AbcastImpl, ProtocolKind, ReplicaMsg, ReplicaTimer};
-use crate::protocols::{
-    atomic::AtomicProto, causal::CausalProto, p2p::P2pProto, reliable::ReliableProto, Effects,
-};
+use crate::protocols::driver::{ProtoSnapshot, TxnDriver};
+use crate::protocols::Effects;
 use crate::state::{ConflictPolicy, EventBuf, SiteState};
 use bcastdb_broadcast::batch::{Batch, Batcher};
 use bcastdb_broadcast::membership::{MemberEvent, ViewManager};
@@ -94,24 +93,14 @@ pub struct ResyncSnapshot {
     log: bcastdb_db::RedoLog,
     view: BTreeSet<SiteId>,
     member_view: Option<bcastdb_broadcast::membership::View>,
-    reliable: Option<Vec<u64>>,
-    causal_clock: Option<bcastdb_broadcast::VectorClock>,
-    atomic: Option<crate::protocols::atomic::AbSnapshot>,
-}
-
-#[derive(Debug)]
-enum Proto {
-    P2p(P2pProto),
-    Reliable(ReliableProto),
-    Causal(CausalProto),
-    Atomic(AtomicProto),
+    proto: ProtoSnapshot,
 }
 
 /// One replica of the replicated database.
 #[derive(Debug)]
 pub struct ReplicaNode {
     st: SiteState,
-    proto: Proto,
+    driver: TxnDriver,
     member: Option<ViewManager>,
     cfg: NodeConfig,
     tick_armed: bool,
@@ -132,45 +121,7 @@ impl ReplicaNode {
     /// Creates the replica for site `me` of `n` under `cfg`.
     pub fn new(me: SiteId, n: usize, cfg: NodeConfig) -> Self {
         let mut st = SiteState::new(me, n, cfg.policy);
-        let proto = match cfg.protocol {
-            ProtocolKind::PointToPoint => {
-                st.wound_remote = false;
-                st.wound_local_readers = false;
-                Proto::P2p(P2pProto::new(cfg.p2p_timeout))
-            }
-            ProtocolKind::ReliableBcast => {
-                st.resolve_read_deadlocks = true;
-                let mut p = if cfg.relay {
-                    ReliableProto::new_with_relay(me, n)
-                } else {
-                    ReliableProto::new(me, n)
-                };
-                p.fast_commit = cfg.fast_commit;
-                if cfg.retransmit_backoff {
-                    p.enable_backoff();
-                }
-                Proto::Reliable(p)
-            }
-            ProtocolKind::CausalBcast => {
-                st.wound_remote = false;
-                st.rank_by_delivery = true;
-                let mut p = if cfg.relay {
-                    CausalProto::new_with_relay(me, n)
-                } else {
-                    CausalProto::new(me, n)
-                };
-                p.null_messages = cfg.null_messages;
-                p.fast_commit = cfg.fast_commit;
-                if cfg.retransmit_backoff {
-                    p.enable_backoff();
-                }
-                Proto::Causal(p)
-            }
-            ProtocolKind::AtomicBcast => {
-                st.wound_remote = false;
-                Proto::Atomic(AtomicProto::new(me, n, cfg.abcast))
-            }
-        };
+        let driver = TxnDriver::new(me, n, &cfg, &mut st);
         st.think = cfg.think_time;
         st.placement = cfg.placement;
         let member = cfg
@@ -179,7 +130,7 @@ impl ReplicaNode {
         let batcher = cfg.batch_window.map(|_| Batcher::new(cfg.batch_max_bytes));
         ReplicaNode {
             st,
-            proto,
+            driver,
             member,
             cfg,
             tick_armed: false,
@@ -223,18 +174,7 @@ impl ReplicaNode {
             log: self.st.log.clone(),
             view: self.view_members(),
             member_view: self.member.as_ref().map(|m| m.view().clone()),
-            reliable: match &self.proto {
-                Proto::Reliable(p) => Some(p.watermarks()),
-                _ => None,
-            },
-            causal_clock: match &self.proto {
-                Proto::Causal(p) => Some(p.clock()),
-                _ => None,
-            },
-            atomic: match &self.proto {
-                Proto::Atomic(p) => Some(p.snapshot()),
-                _ => None,
-            },
+            proto: self.driver.snapshot(),
         }
     }
 
@@ -251,18 +191,7 @@ impl ReplicaNode {
         self.st.remote.clear();
         self.st.recount_undecided();
         self.st.locks = bcastdb_db::LockManager::new();
-        match (
-            &mut self.proto,
-            snap.reliable,
-            snap.causal_clock,
-            snap.atomic,
-        ) {
-            (Proto::Reliable(p), Some(w), _, _) => p.resume(&w, snap.view.clone()),
-            (Proto::Causal(p), _, Some(vc), _) => p.resume(&vc, snap.view.clone()),
-            (Proto::Atomic(p), _, _, Some(s)) => p.resume(&s, snap.view.clone()),
-            (Proto::P2p(p), _, _, _) => p.resume(),
-            _ => {}
-        }
+        self.driver.resume(&snap.proto, snap.view);
         if let (Some(m), Some(v)) = (&mut self.member, snap.member_view) {
             m.resume(v, now);
         }
@@ -422,16 +351,9 @@ impl ReplicaNode {
 
     fn arm_tick(&mut self, ctx: &mut Ctx<'_, ReplicaMsg, ReplicaTimer>) {
         // Ticks are only scheduled while someone needs them: the membership
-        // service (heartbeats), the baseline (timeout checks), or the causal
-        // protocol's null messages. Otherwise an idle cluster quiesces.
-        let proto_wants = match &self.proto {
-            Proto::P2p(_) => self.st.has_undecided(),
-            Proto::Causal(p) => p.needs_ticks(&self.st),
-            // Loss-recovery mode: tick while undecided so gaps get filled.
-            Proto::Reliable(_) => self.cfg.relay && self.st.has_undecided(),
-            Proto::Atomic(_) => false,
-        };
-        let need = self.member.is_some() || proto_wants;
+        // service (heartbeats) or the protocol (timeout checks, null
+        // messages, loss recovery). Otherwise an idle cluster quiesces.
+        let need = self.member.is_some() || self.driver.wants_tick(&self.st);
         if need && !self.tick_armed {
             self.tick_armed = true;
             ctx.set_timer(self.cfg.tick_every, ReplicaTimer::Tick);
@@ -467,13 +389,7 @@ impl ReplicaNode {
                 });
             }
             self.last_suspected.clone_from(&suspected);
-            match &mut self.proto {
-                Proto::Reliable(p) => p.on_suspect(&mut self.st, fx, now, &suspected),
-                Proto::Causal(p) => p.on_suspect(&mut self.st, fx, now, &suspected),
-                // The baseline decides over all n sites and the atomic
-                // protocol's delivery is ack-free: no quorum to shrink.
-                Proto::P2p(_) | Proto::Atomic(_) => {}
-            }
+            self.driver.on_suspect(&mut self.st, fx, now, &suspected);
         }
     }
 
@@ -490,34 +406,8 @@ impl ReplicaNode {
                         site: me,
                         members: roster,
                     });
-                    match &mut self.proto {
-                        Proto::P2p(p) => {
-                            // Baseline: abort in-flight txns from departed
-                            // origins; surviving traffic continues.
-                            let gone: Vec<_> = self
-                                .st
-                                .remote
-                                .keys()
-                                .filter(|t| {
-                                    !members.contains(&t.origin) && !self.st.decided.contains_key(t)
-                                })
-                                .copied()
-                                .collect();
-                            for txn in gone {
-                                let mut events = EventBuf::new();
-                                self.st.apply_remote_abort(
-                                    txn,
-                                    AbortReason::ViewChange,
-                                    now,
-                                    &mut events,
-                                );
-                                p.handle_events(&mut self.st, fx, now, events);
-                            }
-                        }
-                        Proto::Reliable(p) => p.set_view(&mut self.st, fx, now, members),
-                        Proto::Causal(p) => p.set_view(&mut self.st, fx, now, members),
-                        Proto::Atomic(p) => p.set_view(&mut self.st, fx, now, view_id, members),
-                    }
+                    self.driver
+                        .set_view(&mut self.st, fx, now, view_id, members);
                 }
                 MemberEvent::Isolated => {
                     // Outside every majority view: abort everything pending
@@ -552,31 +442,8 @@ impl ReplicaNode {
             to: me,
             phase,
         });
-        match (msg, &mut self.proto) {
-            (ReplicaMsg::R(wire), Proto::Reliable(p)) => {
-                p.on_wire(&mut self.st, fx, now, from, wire)
-            }
-            (ReplicaMsg::C(wire), Proto::Causal(p)) => p.on_wire(&mut self.st, fx, now, from, wire),
-            (ReplicaMsg::C(wire), Proto::Atomic(p)) => {
-                p.on_causal_wire(&mut self.st, fx, now, from, wire)
-            }
-            (ReplicaMsg::ASeq(wire), Proto::Atomic(p)) => {
-                p.on_seq_wire(&mut self.st, fx, now, from, wire)
-            }
-            (ReplicaMsg::AIsis(wire), Proto::Atomic(p)) => {
-                p.on_isis_wire(&mut self.st, fx, now, from, wire)
-            }
-            (ReplicaMsg::ARing(wire), Proto::Atomic(p)) => {
-                p.on_ring_wire(&mut self.st, fx, now, from, wire)
-            }
-            (ReplicaMsg::P2p(m), Proto::P2p(p)) => p.on_msg(&mut self.st, fx, now, from, m),
-            (ReplicaMsg::CRetrans(wire), Proto::Causal(p)) => {
-                p.on_retrans_wire(&mut self.st, fx, now, from, wire)
-            }
-            (ReplicaMsg::RSync(watermarks), Proto::Reliable(p)) => {
-                p.on_sync(fx, from, &watermarks);
-            }
-            (ReplicaMsg::Member(wire), _) => {
+        match msg {
+            ReplicaMsg::Member(wire) => {
                 if let Some(m) = &mut self.member {
                     let (events, outbound) = m.on_wire(from, wire, now);
                     for ob in outbound {
@@ -585,10 +452,10 @@ impl ReplicaNode {
                     self.apply_member_events(fx, now, events);
                 }
             }
-            _ => {
-                // Message for a protocol this cluster does not run — or a
-                // nested batch, which the flush path never produces; drop.
-            }
+            // The protocol drops messages of protocols this cluster does
+            // not run — and nested batches, which the flush path never
+            // produces.
+            msg => self.driver.on_msg(&mut self.st, fx, now, from, msg),
         }
     }
 
@@ -596,12 +463,7 @@ impl ReplicaNode {
         if events.is_empty() {
             return;
         }
-        match &mut self.proto {
-            Proto::P2p(p) => p.handle_events(&mut self.st, fx, now, events),
-            Proto::Reliable(p) => p.handle_events(&mut self.st, fx, now, events),
-            Proto::Causal(p) => p.handle_events(&mut self.st, fx, now, events),
-            Proto::Atomic(p) => p.handle_events(&mut self.st, fx, now, events),
-        }
+        self.driver.handle_events(&mut self.st, fx, now, events);
     }
 }
 
@@ -650,12 +512,9 @@ impl Node for ReplicaNode {
                 self.st.advance_reads(id, now, &mut events);
                 self.dispatch_events(&mut fx, now, events);
             }
-            ReplicaTimer::WriteStep(id) => match &mut self.proto {
-                Proto::Reliable(p) => p.continue_write(&mut self.st, &mut fx, now, id),
-                Proto::Causal(p) => p.continue_write(&mut self.st, &mut fx, now, id),
-                Proto::Atomic(p) => p.continue_write(&mut self.st, &mut fx, now, id),
-                Proto::P2p(_) => {} // the baseline paces writes by its acks
-            },
+            ReplicaTimer::WriteStep(id) => {
+                self.driver.continue_write(&mut self.st, &mut fx, now, id)
+            }
             ReplicaTimer::FlushBatch => {
                 self.flush_armed = false;
                 let batches = match &mut self.batcher {
@@ -668,16 +527,7 @@ impl Node for ReplicaNode {
             }
             ReplicaTimer::Tick => {
                 self.tick_armed = false;
-                match &mut self.proto {
-                    Proto::P2p(p) => p.on_tick(&mut self.st, &mut fx, now),
-                    Proto::Causal(p) => p.on_tick(&mut self.st, &mut fx, now),
-                    Proto::Reliable(p) => {
-                        if self.cfg.relay && self.st.has_undecided() {
-                            p.on_tick(&mut fx);
-                        }
-                    }
-                    Proto::Atomic(_) => {}
-                }
+                self.driver.on_tick(&mut self.st, &mut fx, now);
                 self.member_tick(&mut fx, now);
             }
         }
@@ -709,11 +559,9 @@ impl Node for ReplicaNode {
         }
         // Ring-backend pipeline gauges, only present when the ring runs —
         // other backends keep their metrics output byte-identical.
-        if let Proto::Atomic(p) = &self.proto {
-            if let Some((inflight, forwarded)) = p.ring_gauges() {
-                sample.set_site(me, "ring.inflight", inflight);
-                sample.set_site(me, "ring.forwarded", forwarded);
-            }
+        if let Some((inflight, forwarded)) = self.driver.ring_gauges() {
+            sample.set_site(me, "ring.inflight", inflight);
+            sample.set_site(me, "ring.forwarded", forwarded);
         }
     }
 }

@@ -88,6 +88,18 @@ impl TxnPriority {
     pub fn older_than(&self, other: &TxnPriority) -> bool {
         self < other
     }
+
+    /// A stand-in priority for `txn` at a site that learns of it before
+    /// any of its write operations (a vote or commit request can overtake
+    /// them: there is no cross-origin order). It sorts after every real
+    /// priority and is fixed up when the operations arrive.
+    pub fn placeholder(txn: TxnId) -> Self {
+        TxnPriority {
+            ts: u64::MAX,
+            origin: txn.origin,
+            num: txn.num,
+        }
+    }
 }
 
 /// Application payloads carried inside the broadcast primitives.

@@ -25,19 +25,17 @@
 
 use crate::metrics::AbortReason;
 use crate::payload::{AbcastImpl, Payload, ReplicaMsg, TxnPriority};
-use crate::protocols::Effects;
-use crate::state::{txn_ref, EventBuf, LocalEvent, SiteState};
-use bcastdb_broadcast::atomic::{
-    AtomicBcast, IsisAbcast, IsisWire, SeqWire, SequencerAbcast, TotalDelivery,
-};
+use crate::protocols::driver::{Cx, ProtoSnapshot, Protocol, Work};
+use crate::state::{txn_ref, EventBuf};
+use bcastdb_broadcast::atomic::{AtomicBcast, IsisAbcast, Output, SequencerAbcast};
 use bcastdb_broadcast::causal::{self, CausalBcast};
-use bcastdb_broadcast::ring::{RingAbcast, RingWire};
+use bcastdb_broadcast::ring::RingAbcast;
 use bcastdb_db::lock::LockMode;
 use bcastdb_db::sg::ObservedVersion;
 use bcastdb_db::{Key, TxnId};
 use bcastdb_sim::telemetry::TraceEvent;
-use bcastdb_sim::{SimTime, SiteId};
-use std::collections::{BTreeSet, VecDeque};
+use bcastdb_sim::SiteId;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// One of the atomic-broadcast engines, selected by [`AbcastImpl`].
@@ -51,13 +49,6 @@ enum Abcast {
     // Boxed: the ring engine's repair/pipeline state dwarfs the other
     // variants (clippy::large_enum_variant).
     Ring(Box<RingAbcast<Arc<Payload>>>),
-}
-
-#[derive(Debug)]
-enum Work {
-    Event(LocalEvent),
-    CausalDeliver(causal::Delivery<Arc<Payload>>),
-    TotalDeliver(TotalDelivery<Arc<Payload>>),
 }
 
 /// A commit request waiting in (or at the head of) the certification queue.
@@ -78,7 +69,7 @@ pub struct AbSnapshot {
     seq: Option<u64>,
     isis: Option<(u64, u64)>,
     ring: Option<(u64, Vec<(SiteId, u64)>)>,
-    latest_writer: std::collections::BTreeMap<Key, TxnId>,
+    latest_writer: BTreeMap<Key, TxnId>,
 }
 
 /// The atomic-broadcast replication protocol at one site.
@@ -86,21 +77,14 @@ pub struct AbSnapshot {
 pub struct AtomicProto {
     cb: CausalBcast<Arc<Payload>>,
     ab: Abcast,
-    view: BTreeSet<SiteId>,
     /// Commit requests in total order, certified strictly head-first.
     cert_queue: VecDeque<PendingCert>,
-    /// Paced write phases: next operation index per local transaction.
-    writing: std::collections::BTreeMap<TxnId, usize>,
     /// The version directory: last committed writer of every key, updated
     /// at every certification in total order. Unlike the store (which only
     /// holds replicated keys), every site maintains the full directory —
     /// it is what keeps certification deterministic under partial
     /// replication.
-    latest_writer: std::collections::BTreeMap<Key, TxnId>,
-    /// Reusable work queue: taken at each protocol entry point and
-    /// handed back (empty) by `pump`, so steady-state message handling
-    /// never allocates a fresh queue.
-    idle_work: VecDeque<Work>,
+    latest_writer: BTreeMap<Key, TxnId>,
 }
 
 impl AtomicProto {
@@ -116,429 +100,54 @@ impl AtomicProto {
                 AbcastImpl::Isis => Abcast::Isis(IsisAbcast::new(me, n)),
                 AbcastImpl::Ring => Abcast::Ring(Box::new(RingAbcast::new(me, n))),
             },
-            view: (0..n).map(SiteId).collect(),
             cert_queue: VecDeque::new(),
-            writing: std::collections::BTreeMap::new(),
-            latest_writer: std::collections::BTreeMap::new(),
-            idle_work: VecDeque::new(),
+            latest_writer: BTreeMap::new(),
         }
     }
 
-    /// Engine snapshots for state transfer: the causal clock plus the
-    /// sequencer delivery watermark, the ISIS `(lamport, delivered)` pair,
-    /// or the ring `(watermark, per-origin sequence floors)` pair.
-    pub fn snapshot(&self) -> AbSnapshot {
-        let cb = self.cb.clock().clone();
-        let (seq, isis, ring) = match &self.ab {
-            Abcast::Seq(a) => (Some(a.delivered_watermark()), None, None),
-            Abcast::Isis(a) => (None, Some((a.lamport(), a.delivered_count())), None),
-            Abcast::Ring(a) => (None, None, Some((a.delivered_watermark(), a.seq_floors()))),
-        };
-        AbSnapshot {
-            causal: cb,
-            seq,
-            isis,
-            ring,
-            latest_writer: self.latest_writer.clone(),
-        }
-    }
-
-    /// Resumes a recovered site from a donor's snapshot and view. The ring
-    /// engine only fast-forwards its counters here; its membership (and the
-    /// repair round that refills undelivered payloads) is installed by the
-    /// view change that readmits this site.
-    pub fn resume(&mut self, donor: &AbSnapshot, view: BTreeSet<SiteId>) {
-        self.cb.resume_from(&donor.causal);
-        match (&mut self.ab, donor.seq, donor.isis, &donor.ring) {
-            (Abcast::Seq(a), Some(w), _, _) => a.resume_from(w),
-            (Abcast::Isis(a), _, Some((l, d)), _) => a.resume_from(l, d),
-            (Abcast::Ring(a), _, _, Some((w, floors))) => a.resume_from(*w, floors),
-            _ => {}
-        }
-        self.latest_writer = donor.latest_writer.clone();
-        self.cert_queue.clear();
-        if let (Abcast::Seq(a), Some(&coord)) = (&mut self.ab, view.iter().next()) {
-            a.set_sequencer(coord);
-        }
-        self.view = view;
-    }
-
-    /// Handles events produced outside the protocol.
-    pub fn handle_events(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        events: EventBuf,
-    ) {
-        let work = events.into_iter().map(Work::Event).collect();
-        self.pump(st, fx, now, work);
-    }
-
-    /// Handles incoming causal-broadcast wire traffic (write operations).
-    pub fn on_causal_wire(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        from: SiteId,
-        wire: causal::Wire<Arc<Payload>>,
-    ) {
-        let out = self.cb.on_wire(from, wire);
-        let mut work = std::mem::take(&mut self.idle_work);
-        self.route_causal(fx, out, &mut work);
-        self.pump(st, fx, now, work);
-    }
-
-    /// Handles incoming sequencer-abcast wire traffic.
-    pub fn on_seq_wire(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        from: SiteId,
-        wire: SeqWire<Arc<Payload>>,
-    ) {
-        let Abcast::Seq(ab) = &mut self.ab else {
-            return; // configured for ISIS; stray message
-        };
-        let out = ab.on_wire(from, wire);
-        let mut work = std::mem::take(&mut self.idle_work);
-        Self::route_total_out(fx, out, &mut work);
-        self.pump(st, fx, now, work);
-    }
-
-    /// Handles incoming ISIS-abcast wire traffic.
-    pub fn on_isis_wire(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        from: SiteId,
-        wire: IsisWire<Arc<Payload>>,
-    ) {
-        let Abcast::Isis(ab) = &mut self.ab else {
-            return;
-        };
-        let out = ab.on_wire(from, wire);
-        let mut work = std::mem::take(&mut self.idle_work);
-        Self::route_isis_out(fx, out, &mut work);
-        self.pump(st, fx, now, work);
-    }
-
-    /// Handles incoming ring-abcast wire traffic.
-    pub fn on_ring_wire(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        from: SiteId,
-        wire: RingWire<Arc<Payload>>,
-    ) {
-        let Abcast::Ring(ab) = &mut self.ab else {
-            return;
-        };
-        let out = ab.on_wire(from, wire);
-        let mut work = std::mem::take(&mut self.idle_work);
-        Self::route_ring_out(fx, out, &mut work);
-        self.pump(st, fx, now, work);
-    }
-
-    /// The ring engine's pipeline gauges, when this protocol runs the ring
-    /// backend: `(inflight, forwarded)`.
-    pub fn ring_gauges(&self) -> Option<(u64, u64)> {
-        match &self.ab {
-            Abcast::Ring(a) => Some((a.inflight(), a.forwarded_count())),
-            _ => None,
-        }
-    }
-
-    /// Installs a new view: the sequencer moves to the view coordinator
-    /// (the ring recomputes successors and starts its repair round, keyed
-    /// by the view id), and transactions from departed origins abort
-    /// (their commit request may never be ordered).
-    pub fn set_view(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        view_id: u64,
-        members: BTreeSet<SiteId>,
-    ) {
-        self.view = members.clone();
-        if let (Abcast::Seq(ab), Some(&coord)) = (&mut self.ab, members.iter().next()) {
-            ab.set_sequencer(coord);
-        }
-        let mut ring_work = std::mem::take(&mut self.idle_work);
-        if let Abcast::Ring(ab) = &mut self.ab {
-            let roster: Vec<SiteId> = members.iter().copied().collect();
-            let out = ab.set_ring(&roster, view_id);
-            Self::route_ring_out(fx, out, &mut ring_work);
-        }
-        let undecided: Vec<TxnId> = st
-            .remote
-            .keys()
-            .filter(|t| !st.decided.contains_key(t) && !members.contains(&t.origin))
-            .copied()
-            .collect();
-        let mut work = ring_work;
-        for txn in undecided {
-            self.cert_queue.retain(|p| p.txn != txn);
-            let mut events = EventBuf::new();
-            st.apply_remote_abort(txn, AbortReason::ViewChange, now, &mut events);
-            work.extend(events.into_iter().map(Work::Event));
-        }
-        self.drain_cert_queue(st, now, &mut work);
-        self.pump(st, fx, now, work);
-    }
-
-    fn route_causal(
-        &mut self,
-        fx: &mut Effects,
-        out: causal::Output<Arc<Payload>>,
-        work: &mut VecDeque<Work>,
-    ) {
+    /// Routes one atomic-broadcast engine's output: wires wrapped by
+    /// `wrap` to the effects, deliveries into the work queue.
+    fn route_total<W>(cx: &mut Cx<'_>, out: Output<Arc<Payload>, W>, wrap: fn(W) -> ReplicaMsg) {
         for ob in out.outbound {
-            fx.send(ob.dest, ReplicaMsg::C(ob.wire));
+            cx.fx.send(ob.dest, wrap(ob.wire));
         }
         for d in out.deliveries {
-            work.push_back(Work::CausalDeliver(d));
+            cx.work.push_back(Work::TotalDeliver(d));
         }
     }
 
-    fn route_total_out(
-        fx: &mut Effects,
-        out: bcastdb_broadcast::atomic::Output<Arc<Payload>, SeqWire<Arc<Payload>>>,
-        work: &mut VecDeque<Work>,
-    ) {
-        for ob in out.outbound {
-            fx.send(ob.dest, ReplicaMsg::ASeq(ob.wire));
-        }
-        for d in out.deliveries {
-            work.push_back(Work::TotalDeliver(d));
-        }
-    }
-
-    fn route_isis_out(
-        fx: &mut Effects,
-        out: bcastdb_broadcast::atomic::Output<Arc<Payload>, IsisWire<Arc<Payload>>>,
-        work: &mut VecDeque<Work>,
-    ) {
-        for ob in out.outbound {
-            fx.send(ob.dest, ReplicaMsg::AIsis(ob.wire));
-        }
-        for d in out.deliveries {
-            work.push_back(Work::TotalDeliver(d));
-        }
-    }
-
-    fn route_ring_out(
-        fx: &mut Effects,
-        out: bcastdb_broadcast::atomic::Output<Arc<Payload>, RingWire<Arc<Payload>>>,
-        work: &mut VecDeque<Work>,
-    ) {
-        for ob in out.outbound {
-            fx.send(ob.dest, ReplicaMsg::ARing(ob.wire));
-        }
-        for d in out.deliveries {
-            work.push_back(Work::TotalDeliver(d));
-        }
-    }
-
-    fn abcast(&mut self, fx: &mut Effects, payload: Payload, work: &mut VecDeque<Work>) {
+    fn abcast(&mut self, cx: &mut Cx<'_>, payload: Payload) {
         // The single payload allocation of this broadcast.
         let payload = Arc::new(payload);
         match &mut self.ab {
-            Abcast::Seq(ab) => {
-                let (_, out) = ab.broadcast(payload);
-                Self::route_total_out(fx, out, work);
-            }
-            Abcast::Isis(ab) => {
-                let (_, out) = ab.broadcast(payload);
-                Self::route_isis_out(fx, out, work);
-            }
-            Abcast::Ring(ab) => {
-                let (_, out) = ab.broadcast(payload);
-                Self::route_ring_out(fx, out, work);
-            }
+            Abcast::Seq(ab) => Self::route_total(cx, ab.broadcast(payload).1, ReplicaMsg::ASeq),
+            Abcast::Isis(ab) => Self::route_total(cx, ab.broadcast(payload).1, ReplicaMsg::AIsis),
+            Abcast::Ring(ab) => Self::route_total(cx, ab.broadcast(payload).1, ReplicaMsg::ARing),
         }
     }
 
-    fn pump(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        mut work: VecDeque<Work>,
-    ) {
-        while let Some(item) = work.pop_front() {
-            match item {
-                Work::Event(ev) => self.on_event(st, fx, now, ev, &mut work),
-                Work::CausalDeliver(d) => self.on_causal_deliver(st, now, d, &mut work),
-                Work::TotalDeliver(d) => self.on_total_deliver(st, now, d, &mut work),
-            }
-        }
-        // The queue is empty again: hand it back for the next entry point.
-        self.idle_work = work;
-    }
-
-    fn on_event(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        ev: LocalEvent,
-        work: &mut VecDeque<Work>,
-    ) {
-        match ev {
-            LocalEvent::ReadsComplete(id) => self.start_write_phase(st, fx, now, id, work),
-            LocalEvent::ReadPaused(id) => fx.pauses.push(id),
-            // No lock-driven machinery in this protocol: applies are
-            // immediate and certification replaces voting.
-            LocalEvent::RemotePrepared(..)
-            | LocalEvent::RemoteDoomed(..)
-            | LocalEvent::RemoteKeyGranted(..) => {}
-        }
-    }
-
-    /// Origin side: release read locks (certification validates the reads
-    /// instead), broadcast write ops causally, then the commit request
-    /// atomically. With think time configured, operations go out one per
-    /// step; the version vectors are snapshotted when the commit request is
-    /// finally broadcast (its slot in the total order validates them).
-    fn start_write_phase(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        id: TxnId,
-        work: &mut VecDeque<Work>,
-    ) {
-        if !st.local.contains_key(&id) {
-            return;
-        }
-        // Read locks are released now: from here on the version vectors in
-        // the commit request carry the validation burden.
-        let granted = st.locks.release_all(id);
-        let mut events = EventBuf::new();
-        st.process_grants(granted, now, &mut events);
-        work.extend(events.into_iter().map(Work::Event));
-
-        if st.think.is_zero() {
-            self.emit_write_step(st, fx, now, id, usize::MAX, work);
-        } else {
-            self.writing.insert(id, 0);
-            self.emit_write_step(st, fx, now, id, 1, work);
-            if self.writing.contains_key(&id) {
-                fx.write_pauses.push(id);
-            }
-        }
-    }
-
-    /// Resumes a paced write phase (next step after think time).
-    pub fn continue_write(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        id: TxnId,
-    ) {
-        if st.decided.contains_key(&id) || !st.local.contains_key(&id) {
-            self.writing.remove(&id);
-            return;
-        }
-        let mut work = std::mem::take(&mut self.idle_work);
-        self.emit_write_step(st, fx, now, id, 1, &mut work);
-        if self.writing.contains_key(&id) {
-            fx.write_pauses.push(id);
-        }
-        self.pump(st, fx, now, work);
-    }
-
-    /// Broadcasts up to `budget` write operations causally, then the
-    /// atomically-broadcast commit request carrying the version snapshot.
-    fn emit_write_step(
-        &mut self,
-        st: &mut SiteState,
-        fx: &mut Effects,
-        now: SimTime,
-        id: TxnId,
-        budget: usize,
-        work: &mut VecDeque<Work>,
-    ) {
-        let Some(local) = st.local.get(&id) else {
-            self.writing.remove(&id);
-            return;
-        };
-        let prio = local.prio;
-        let writes = local.spec.writes();
-        let n_writes = writes.len();
-        let read_versions = local.reads_observed.clone();
-        let start = self.writing.get(&id).copied().unwrap_or(0);
-        let end = start.saturating_add(budget).min(n_writes);
-        for (index, op) in writes.iter().enumerate().take(end).skip(start) {
-            let (_, out) = self.cb.broadcast(Arc::new(Payload::Write {
-                txn: id,
-                prio,
-                op: op.clone(),
-                index,
-                of: n_writes,
-            }));
-            self.route_causal(fx, out, work);
-        }
-        if end >= n_writes {
-            self.writing.remove(&id);
-            let write_versions: Vec<(Key, ObservedVersion)> = writes
-                .iter()
-                .map(|w| (w.key.clone(), self.latest_writer.get(&w.key).copied()))
-                .collect();
-            st.trace_commit_req_out(id, now);
-            self.abcast(
-                fx,
-                Payload::CommitReq {
-                    txn: id,
-                    prio,
-                    n_writes,
-                    read_versions,
-                    write_versions,
-                },
-                work,
-            );
-        } else {
-            self.writing.insert(id, end);
-        }
-    }
-
-    fn on_causal_deliver(
-        &mut self,
-        st: &mut SiteState,
-        now: SimTime,
-        d: causal::Delivery<Arc<Payload>>,
-        work: &mut VecDeque<Work>,
-    ) {
+    fn on_causal_deliver(&mut self, cx: &mut Cx<'_>, d: causal::Delivery<Arc<Payload>>) {
         if let Payload::Write {
             txn, prio, op, of, ..
         } = &*d.payload
         {
             let (txn, prio, of) = (*txn, *prio, *of);
-            if st.decided.contains_key(&txn) {
+            if cx.st.decided.contains_key(&txn) {
                 return;
             }
             // Record the op only — no locks; applies happen in total order.
-            let entry = st.remote_entry(txn, prio);
+            let entry = cx.st.remote_entry(txn, prio);
             entry.ops.push(op.clone());
             entry.n_writes = Some(of);
             // A commit request stalled on this write set may now proceed.
-            self.drain_cert_queue(st, now, work);
+            self.drain_cert_queue(cx);
         }
     }
 
     fn on_total_deliver(
         &mut self,
-        st: &mut SiteState,
-        now: SimTime,
-        d: TotalDelivery<Arc<Payload>>,
-        work: &mut VecDeque<Work>,
+        cx: &mut Cx<'_>,
+        d: bcastdb_broadcast::atomic::TotalDelivery<Arc<Payload>>,
     ) {
         if let Payload::CommitReq {
             txn,
@@ -550,8 +159,8 @@ impl AtomicProto {
         {
             let txn = *txn;
             let gseq = d.gseq;
-            let me = st.me;
-            st.tracer.emit(|| TraceEvent::TotalOrder {
+            let (me, now) = (cx.st.me, cx.now);
+            cx.st.tracer.emit(|| TraceEvent::TotalOrder {
                 at: now,
                 site: me,
                 txn: txn_ref(txn),
@@ -564,21 +173,23 @@ impl AtomicProto {
                 read_versions: read_versions.clone(),
                 write_versions: write_versions.clone(),
             });
-            self.drain_cert_queue(st, now, work);
+            self.drain_cert_queue(cx);
         }
     }
 
     /// Certifies queued commit requests strictly in total order; stalls
-    /// when the head's write set is not fully delivered yet.
-    fn drain_cert_queue(&mut self, st: &mut SiteState, now: SimTime, work: &mut VecDeque<Work>) {
+    /// when the head's write set is not fully delivered yet. Requests of
+    /// transactions already decided (their origin departed) are dropped.
+    fn drain_cert_queue(&mut self, cx: &mut Cx<'_>) {
         while let Some(head) = self.cert_queue.front() {
             let txn = head.txn;
-            if st.decided.contains_key(&txn) {
+            if cx.st.decided.contains_key(&txn) {
                 self.cert_queue.pop_front();
                 continue;
             }
             let ops_ready = head.n_writes == 0
-                || st
+                || cx
+                    .st
                     .remote
                     .get(&txn)
                     .is_some_and(|e| e.ops.len() == head.n_writes);
@@ -587,7 +198,7 @@ impl AtomicProto {
             }
             let head = self.cert_queue.pop_front().expect("front checked");
             // Make sure an entry exists even for write-free transactions.
-            let entry = st.remote_entry(txn, head.prio);
+            let entry = cx.st.remote_entry(txn, head.prio);
             if entry.n_writes.is_none() {
                 entry.n_writes = Some(0);
             }
@@ -596,49 +207,176 @@ impl AtomicProto {
                 .iter()
                 .chain(head.write_versions.iter())
                 .all(|(key, expected)| self.latest_writer.get(key).copied() == *expected);
-            st.trace_vote(txn, pass, now);
-            let mut events = EventBuf::new();
+            cx.st.trace_vote(txn, pass, cx.now);
             if pass {
-                self.wound_conflicting_readers(st, &head, now, &mut events);
+                self.wound_conflicting_readers(cx, txn);
                 // Advance the version directory in total order (all keys,
                 // held here or not).
-                if let Some(entry) = st.remote.get(&txn) {
+                if let Some(entry) = cx.st.remote.get(&txn) {
                     for op in &entry.ops {
                         self.latest_writer.insert(op.key.clone(), txn);
                     }
                 }
-                st.apply_commit(txn, now, &mut events);
+                cx.commit(txn);
             } else {
-                st.apply_remote_abort(txn, AbortReason::Certification, now, &mut events);
+                cx.abort(txn, AbortReason::Certification);
             }
-            work.extend(events.into_iter().map(Work::Event));
         }
     }
 
     /// Aborts local transactions still holding read locks on keys the
-    /// committing transaction writes. This protocol's applies never wait —
-    /// that is what keeps them acknowledgement-free — so conflicting local
-    /// readers (read-only included) are wounded.
-    fn wound_conflicting_readers(
-        &mut self,
-        st: &mut SiteState,
-        cert: &PendingCert,
-        now: SimTime,
-        events: &mut EventBuf,
-    ) {
-        let write_keys: Vec<Key> = st
+    /// committing transaction `txn` writes. This protocol's applies never
+    /// wait — that is what keeps them acknowledgement-free — so conflicting
+    /// local readers (read-only included) are wounded.
+    fn wound_conflicting_readers(&mut self, cx: &mut Cx<'_>, txn: TxnId) {
+        let write_keys: Vec<Key> = cx
+            .st
             .remote
-            .get(&cert.txn)
+            .get(&txn)
             .map(|e| e.ops.iter().map(|o| o.key.clone()).collect())
             .unwrap_or_default();
         for key in write_keys {
-            let holders = st.locks.holders(&key);
+            let holders = cx.st.locks.holders(&key);
             for (holder, mode) in holders {
-                if mode == LockMode::Shared && holder != cert.txn && st.local.contains_key(&holder)
-                {
-                    st.abort_local(holder, AbortReason::Wounded, now, events);
+                if mode == LockMode::Shared && holder != txn && cx.st.local.contains_key(&holder) {
+                    cx.abort_local(holder, AbortReason::Wounded);
                 }
             }
+        }
+    }
+}
+
+impl Protocol for AtomicProto {
+    fn on_wire(&mut self, cx: &mut Cx<'_>, from: SiteId, msg: ReplicaMsg) {
+        // Wires of a backend this site does not run are strays: dropped.
+        match (msg, &mut self.ab) {
+            (ReplicaMsg::C(wire), _) => {
+                let out = self.cb.on_wire(from, wire);
+                cx.route_causal(out);
+            }
+            (ReplicaMsg::ASeq(wire), Abcast::Seq(ab)) => {
+                Self::route_total(cx, ab.on_wire(from, wire), ReplicaMsg::ASeq)
+            }
+            (ReplicaMsg::AIsis(wire), Abcast::Isis(ab)) => {
+                Self::route_total(cx, ab.on_wire(from, wire), ReplicaMsg::AIsis)
+            }
+            (ReplicaMsg::ARing(wire), Abcast::Ring(ab)) => {
+                Self::route_total(cx, ab.on_wire(from, wire), ReplicaMsg::ARing)
+            }
+            _ => {}
+        }
+    }
+
+    /// Write operations are disseminated by causal broadcast. The first one
+    /// ends the read phase: certification validates the reads from here on
+    /// (through the version vectors in the commit request), so the read
+    /// locks are released before it goes out.
+    fn bcast_write(&mut self, cx: &mut Cx<'_>, write: Payload) {
+        if let Payload::Write { txn, index: 0, .. } = write {
+            let granted = cx.st.locks.release_all(txn);
+            let mut events = EventBuf::new();
+            cx.st.process_grants(granted, cx.now, &mut events);
+            cx.push_events(events);
+        }
+        let (_, out) = self.cb.broadcast(Arc::new(write));
+        cx.route_causal(out);
+    }
+
+    /// Atomically broadcasts the commit request with the version snapshot
+    /// taken now: its slot in the total order validates it.
+    fn request_commit(&mut self, cx: &mut Cx<'_>, id: TxnId) {
+        let Some(local) = cx.st.local.get(&id) else {
+            return;
+        };
+        let read_versions = local.reads_observed.clone();
+        let write_versions: Vec<(Key, ObservedVersion)> = local
+            .spec
+            .writes()
+            .iter()
+            .map(|w| (w.key.clone(), self.latest_writer.get(&w.key).copied()))
+            .collect();
+        if let Some(req) = cx.commit_request(id, read_versions, write_versions) {
+            self.abcast(cx, req);
+        }
+    }
+
+    /// No lock-driven machinery in this protocol: applies are immediate and
+    /// certification replaces voting.
+    fn handle(&mut self, cx: &mut Cx<'_>, item: Work) {
+        match item {
+            Work::CausalDeliver(d) => self.on_causal_deliver(cx, d),
+            Work::TotalDeliver(d) => self.on_total_deliver(cx, d),
+            _ => {}
+        }
+    }
+
+    /// The sequencer moves to the view coordinator; the ring recomputes
+    /// successors and starts its repair round, keyed by the view id.
+    fn on_view(&mut self, cx: &mut Cx<'_>, view_id: u64) {
+        match &mut self.ab {
+            Abcast::Seq(ab) => {
+                if let Some(&coord) = cx.view.members().iter().next() {
+                    ab.set_sequencer(coord);
+                }
+            }
+            Abcast::Ring(ab) => {
+                let roster: Vec<SiteId> = cx.view.members().iter().copied().collect();
+                let out = ab.set_ring(&roster, view_id);
+                Self::route_total(cx, out, ReplicaMsg::ARing);
+            }
+            Abcast::Isis(_) => {}
+        }
+    }
+
+    /// Aborting the departed origins' transactions (their commit requests
+    /// may never be ordered) can unblock the certification queue.
+    fn after_view(&mut self, cx: &mut Cx<'_>) {
+        self.drain_cert_queue(cx);
+    }
+
+    /// Engine snapshots for state transfer: the causal clock plus the
+    /// sequencer delivery watermark, the ISIS `(lamport, delivered)` pair,
+    /// or the ring `(watermark, per-origin sequence floors)` pair.
+    fn snapshot(&self) -> ProtoSnapshot {
+        let (seq, isis, ring) = match &self.ab {
+            Abcast::Seq(a) => (Some(a.delivered_watermark()), None, None),
+            Abcast::Isis(a) => (None, Some((a.lamport(), a.delivered_count())), None),
+            Abcast::Ring(a) => (None, None, Some((a.delivered_watermark(), a.seq_floors()))),
+        };
+        ProtoSnapshot::Atomic(AbSnapshot {
+            causal: self.cb.clock().clone(),
+            seq,
+            isis,
+            ring,
+            latest_writer: self.latest_writer.clone(),
+        })
+    }
+
+    /// The ring engine only fast-forwards its counters here; its membership
+    /// (and the repair round that refills undelivered payloads) is
+    /// installed by the view change that readmits this site.
+    fn resume(&mut self, snap: &ProtoSnapshot, view: &BTreeSet<SiteId>) {
+        let ProtoSnapshot::Atomic(donor) = snap else {
+            return;
+        };
+        self.cb.resume_from(&donor.causal);
+        match (&mut self.ab, donor.seq, donor.isis, &donor.ring) {
+            (Abcast::Seq(a), Some(w), _, _) => a.resume_from(w),
+            (Abcast::Isis(a), _, Some((l, d)), _) => a.resume_from(l, d),
+            (Abcast::Ring(a), _, _, Some((w, floors))) => a.resume_from(*w, floors),
+            _ => {}
+        }
+        self.latest_writer = donor.latest_writer.clone();
+        self.cert_queue.clear();
+        if let (Abcast::Seq(a), Some(&coord)) = (&mut self.ab, view.iter().next()) {
+            a.set_sequencer(coord);
+        }
+    }
+
+    fn ring_gauges(&self) -> Option<(u64, u64)> {
+        match &self.ab {
+            Abcast::Ring(a) => Some((a.inflight(), a.forwarded_count())),
+            _ => None,
         }
     }
 }
@@ -646,85 +384,26 @@ impl AtomicProto {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::ConflictPolicy;
-    use bcastdb_broadcast::msg::expand_dest;
+    use crate::engine::NodeConfig;
+    use crate::payload::ProtocolKind;
+    use crate::protocols::rig::Rig;
     use bcastdb_db::TxnSpec;
-    use std::collections::VecDeque as Q;
 
-    struct Rig {
-        protos: Vec<AtomicProto>,
-        states: Vec<SiteState>,
-        wires: Q<(SiteId, SiteId, ReplicaMsg)>,
-    }
-
-    impl Rig {
-        fn new(n: usize, imp: AbcastImpl) -> Rig {
-            let mut states: Vec<SiteState> = (0..n)
-                .map(|i| SiteState::new(SiteId(i), n, ConflictPolicy::WoundWait))
-                .collect();
-            for st in states.iter_mut() {
-                st.wound_remote = false;
-            }
-            Rig {
-                protos: (0..n)
-                    .map(|i| AtomicProto::new(SiteId(i), n, imp))
-                    .collect(),
-                states,
-                wires: Q::new(),
-            }
-        }
-
-        fn absorb(&mut self, me: SiteId, fx: Effects) {
-            let n = self.protos.len();
-            for (dest, msg) in fx.sends {
-                for to in expand_dest(dest, me, n) {
-                    if to != me {
-                        self.wires.push_back((me, to, msg.clone()));
-                    }
-                }
-            }
-        }
-
-        fn submit(&mut self, site: usize, ts: u64, spec: TxnSpec) -> TxnId {
-            let mut fx = Effects::new();
-            let (id, events) = self.states[site].begin_txn(SimTime::from_micros(ts), spec);
-            self.protos[site].handle_events(&mut self.states[site], &mut fx, SimTime::ZERO, events);
-            self.absorb(SiteId(site), fx);
-            id
-        }
-
-        fn settle(&mut self) {
-            while let Some((from, to, msg)) = self.wires.pop_front() {
-                let mut fx = Effects::new();
-                let t = SimTime::from_micros(2);
-                match msg {
-                    ReplicaMsg::C(w) => self.protos[to.0].on_causal_wire(
-                        &mut self.states[to.0],
-                        &mut fx,
-                        t,
-                        from,
-                        w,
-                    ),
-                    ReplicaMsg::ASeq(w) => {
-                        self.protos[to.0].on_seq_wire(&mut self.states[to.0], &mut fx, t, from, w)
-                    }
-                    ReplicaMsg::AIsis(w) => {
-                        self.protos[to.0].on_isis_wire(&mut self.states[to.0], &mut fx, t, from, w)
-                    }
-                    ReplicaMsg::ARing(w) => {
-                        self.protos[to.0].on_ring_wire(&mut self.states[to.0], &mut fx, t, from, w)
-                    }
-                    _ => {}
-                }
-                self.absorb(to, fx);
-            }
-        }
+    fn rig(n: usize, abcast: AbcastImpl) -> Rig {
+        Rig::with(
+            n,
+            NodeConfig {
+                protocol: ProtocolKind::AtomicBcast,
+                abcast,
+                ..NodeConfig::default()
+            },
+        )
     }
 
     #[test]
     fn commits_with_no_acknowledgement_traffic() {
         for imp in [AbcastImpl::Sequencer, AbcastImpl::Isis, AbcastImpl::Ring] {
-            let mut rig = Rig::new(3, imp);
+            let mut rig = rig(3, imp);
             let id = rig.submit(1, 1, TxnSpec::new().write("x", 4));
             rig.settle();
             for (i, st) in rig.states.iter().enumerate() {
@@ -739,7 +418,7 @@ mod tests {
 
     #[test]
     fn certification_aborts_the_later_conflicting_writer() {
-        let mut rig = Rig::new(3, AbcastImpl::Sequencer);
+        let mut rig = rig(3, AbcastImpl::Sequencer);
         // Both broadcast against the same (initial) version of x without
         // seeing each other: the one ordered second fails certification.
         let a = rig.submit(0, 10, TxnSpec::new().write("x", 1));
@@ -761,7 +440,7 @@ mod tests {
 
     #[test]
     fn stale_read_fails_certification() {
-        let mut rig = Rig::new(3, AbcastImpl::Sequencer);
+        let mut rig = rig(3, AbcastImpl::Sequencer);
         // T reads x (initial version) at site 2 but its commit request is
         // ordered after W's commit of x: the read-version check fails.
         let t = {
@@ -790,7 +469,7 @@ mod tests {
 
     #[test]
     fn applies_follow_total_order_on_every_site() {
-        let mut rig = Rig::new(4, AbcastImpl::Isis);
+        let mut rig = rig(4, AbcastImpl::Isis);
         let mut ids = Vec::new();
         for i in 0..4 {
             ids.push(rig.submit(

@@ -1,15 +1,19 @@
 //! The four replication protocols.
 //!
-//! Each protocol module owns the state that is specific to its commitment
-//! scheme and drives the shared per-site state
-//! machinery. Protocols are *sans-IO*: they emit [`Effects`] (destination +
+//! Each protocol module holds only what is specific to its broadcast
+//! primitive and commit decision; the `driver` module runs the transaction
+//! skeleton they share (work queue, write pacing, view sweep, reader
+//! gate). Protocols are *sans-IO*: they emit [`Effects`] (destination +
 //! message pairs) that the [`ReplicaNode`](crate::engine::ReplicaNode)
 //! flushes into the simulated network.
 
-pub mod atomic;
-pub mod causal;
-pub mod p2p;
-pub mod reliable;
+pub(crate) mod atomic;
+pub(crate) mod causal;
+pub(crate) mod driver;
+pub(crate) mod p2p;
+pub(crate) mod reliable;
+#[cfg(test)]
+mod rig;
 
 use crate::payload::ReplicaMsg;
 use bcastdb_broadcast::msg::Dest;

@@ -12,7 +12,8 @@
 //! The test runs a t2-style crash workload once, measuring the allocation
 //! delta of each phase (cluster build, simulation, verification), prints
 //! the breakdown (visible with `--nocapture`), and ratchets a ceiling on
-//! the simulation phase's allocs/event. The ceiling has ~25% headroom over
+//! the simulation phase's allocs/event; it ratchets the ring backend and a
+//! contended causal run the same way. The ceiling has ~25% headroom over
 //! the measured value so that toolchain drift doesn't trip it, but any
 //! change that reintroduces a per-event or per-message allocation on the
 //! hot path (a clone per delivery, a `Vec` per fan-out, an un-pre-sized
@@ -119,16 +120,42 @@ fn phased_crash_run(trace: bool) -> (Vec<(&'static str, u64)>, u64) {
     (phases, cluster.events_processed())
 }
 
-/// Runs an a1-style broadcast-heavy workload on the ring backend (the
-/// regime the a1 saturation sweep measures: 16 sites, where the ring is
-/// the default) and returns the simulation phase's allocation delta plus
-/// the event count. Workload generation and cluster build are excluded —
-/// only the event loop with the ring pipeline (Data forwarding, Commit
-/// circulation, cumulative acks) is measured.
+/// Submits `per_site` transactions generated from `cfg` at every site of
+/// `cluster`, one per `gap`, runs to quiescence and checks 1SR. Returns the
+/// simulation phase's allocation delta plus the event count: workload
+/// generation and cluster build are excluded.
+fn sim_phase_allocs(
+    mut cluster: Cluster,
+    cfg: WorkloadConfig,
+    seed: u64,
+    per_site: usize,
+    gap: SimDuration,
+) -> (u64, u64) {
+    let zipf = cfg.sampler();
+    let mut rng = DetRng::new(seed);
+    let sites: Vec<SiteId> = cluster.sites().collect();
+    for site in sites {
+        let mut at = SimTime::from_micros(1_000);
+        let mut site_rng = rng.fork(site.0 as u64);
+        for _ in 0..per_site {
+            at += gap;
+            cluster.submit_at(at, site, cfg.gen_txn(&zipf, &mut site_rng));
+        }
+    }
+    let before = allocs();
+    cluster.run_to_quiescence();
+    let sim_allocs = allocs() - before;
+    assert!(cluster.check_serializability().is_ok());
+    (sim_allocs, cluster.events_processed())
+}
+
+/// An a1-style broadcast-heavy workload on the ring backend (the regime
+/// the a1 saturation sweep measures: 16 sites, where the ring is the
+/// default): the event loop with the ring pipeline (Data forwarding,
+/// Commit circulation, cumulative acks).
 fn ring_abcast_run() -> (u64, u64) {
-    const SITES: usize = 16;
-    let mut cluster = Cluster::builder()
-        .sites(SITES)
+    let cluster = Cluster::builder()
+        .sites(16)
         .protocol(ProtocolKind::AtomicBcast)
         .abcast(AbcastImpl::Ring)
         .seed(91)
@@ -140,21 +167,27 @@ fn ring_abcast_run() -> (u64, u64) {
         writes_per_txn: 2,
         ..WorkloadConfig::default()
     };
-    let zipf = cfg.sampler();
-    let mut rng = DetRng::new(910);
-    for site in 0..SITES {
-        let mut at = SimTime::from_micros(1_000);
-        let mut site_rng = rng.fork(site as u64);
-        for _ in 0..8 {
-            at += SimDuration::from_millis(10);
-            cluster.submit_at(at, SiteId(site), cfg.gen_txn(&zipf, &mut site_rng));
-        }
-    }
-    let before = allocs();
-    cluster.run_to_quiescence();
-    let sim_allocs = allocs() - before;
-    assert!(cluster.check_serializability().is_ok());
-    (sim_allocs, cluster.events_processed())
+    sim_phase_allocs(cluster, cfg, 910, 8, SimDuration::from_millis(10))
+}
+
+/// A contended P-CB workload (5 sites, 200 keys, Zipf 0.8: the shape of
+/// the benchmark's `causal_contended`). The hot path is the causal
+/// engine: vector-clock deliveries, implicit acks, and the per-key writer
+/// index with its stability-floor pruning.
+fn causal_contended_run() -> (u64, u64) {
+    let cluster = Cluster::builder()
+        .sites(5)
+        .protocol(ProtocolKind::CausalBcast)
+        .seed(53)
+        .build();
+    let cfg = WorkloadConfig {
+        n_keys: 200,
+        theta: 0.8,
+        reads_per_txn: 1,
+        writes_per_txn: 2,
+        ..WorkloadConfig::default()
+    };
+    sim_phase_allocs(cluster, cfg, 530, 150, SimDuration::from_millis(5))
 }
 
 #[test]
@@ -238,5 +271,24 @@ fn allocs_per_event_stays_bounded() {
         "ring backend now allocates {ring_per_event:.3} times per event \
          (ceiling 4.0) — a hot-path allocation crept into the ring \
          pipeline; see PERFORMANCE.md"
+    );
+
+    // Causal ratchet: the contended P-CB run measures ~5.7 allocs/event
+    // (6.2 before the writer index replaced the full-history decision
+    // scan: moving each delivered write's clock into the index instead of
+    // cloning it pays for the index). The ceiling leaves ~25% headroom —
+    // a key clone into a fresh map entry or a Vec per prune sweep on
+    // every write blows past it.
+    let (causal_allocs, causal_events) = causal_contended_run();
+    let causal_per_event = causal_allocs as f64 / causal_events as f64;
+    eprintln!(
+        "causal contended (5 sites): {causal_allocs} allocs / {causal_events} events \
+         = {causal_per_event:.3} allocs/event"
+    );
+    assert!(
+        causal_per_event < 7.2,
+        "causal engine now allocates {causal_per_event:.3} times per event \
+         (ceiling 7.2) — a hot-path allocation crept into the causal \
+         decision rule or its writer index; see PERFORMANCE.md"
     );
 }

@@ -1155,10 +1155,12 @@ mod tests {
         assert!(last.values.contains_key("queue_depth"));
         assert!(last.values.contains_key("net.msgs_sent"));
         for s in 0..3 {
-            assert!(
-                last.values.contains_key(&format!("s{s}.undecided_remote")),
-                "missing per-site gauges for site {s}"
-            );
+            for gauge in ["undecided_remote", "causal.live"] {
+                assert!(
+                    last.values.contains_key(&format!("s{s}.{gauge}")),
+                    "missing per-site gauge {gauge} for site {s}"
+                );
+            }
         }
         // And the stream is reproducible.
         let again = run(true);

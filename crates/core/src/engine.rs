@@ -557,11 +557,7 @@ impl Node for ReplicaNode {
             sample.set_site(me, "batch_pending_msgs", b.pending_msgs() as u64);
             sample.set_site(me, "batch_pending_bytes", b.pending_bytes() as u64);
         }
-        // Ring-backend pipeline gauges, only present when the ring runs —
-        // other backends keep their metrics output byte-identical.
-        if let Some((inflight, forwarded)) = self.driver.ring_gauges() {
-            sample.set_site(me, "ring.inflight", inflight);
-            sample.set_site(me, "ring.forwarded", forwarded);
-        }
+        // Protocol gauges: the ring pipeline, the causal live state.
+        self.driver.gauges(me, sample);
     }
 }

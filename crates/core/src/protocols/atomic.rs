@@ -34,7 +34,7 @@ use bcastdb_db::lock::LockMode;
 use bcastdb_db::sg::ObservedVersion;
 use bcastdb_db::{Key, TxnId};
 use bcastdb_sim::telemetry::TraceEvent;
-use bcastdb_sim::SiteId;
+use bcastdb_sim::{Sample, SiteId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
@@ -373,10 +373,12 @@ impl Protocol for AtomicProto {
         }
     }
 
-    fn ring_gauges(&self) -> Option<(u64, u64)> {
-        match &self.ab {
-            Abcast::Ring(a) => Some((a.inflight(), a.forwarded_count())),
-            _ => None,
+    /// Ring-backend pipeline gauges, only present when the ring runs —
+    /// other backends keep their metrics output byte-identical.
+    fn gauges(&self, me: SiteId, sample: &mut Sample) {
+        if let Abcast::Ring(a) = &self.ab {
+            sample.set_site(me, "ring.inflight", a.inflight());
+            sample.set_site(me, "ring.forwarded", a.forwarded_count());
         }
     }
 }

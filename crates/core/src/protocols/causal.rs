@@ -41,9 +41,12 @@ use crate::state::{EventBuf, LocalEvent, SiteState};
 use bcastdb_broadcast::causal::{self, CausalBcast};
 use bcastdb_broadcast::VectorClock;
 use bcastdb_db::{Key, TxnId};
-use bcastdb_sim::SiteId;
+use bcastdb_sim::{Sample, SiteId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+
+/// Index entries before the first [`CausalProto::prune`] sweep.
+const FIRST_PRUNE: usize = 64;
 
 /// Causal-protocol bookkeeping for one broadcast transaction.
 #[derive(Debug, Clone, Default)]
@@ -83,10 +86,11 @@ pub struct CausalProto {
     last_bcast_vc: VectorClock,
     /// Transactions whose commit request is delivered but whose outcome is
     /// not yet in `st.decided` — the only transactions a new implicit
-    /// acknowledgement can advance. `info` grows for the whole run (its
-    /// write-op clocks stay relevant to concurrency classification), so
-    /// the per-delivery ack scan walks this small index instead of the
-    /// full map; entries are dropped lazily once the decision lands.
+    /// acknowledgement can advance. `info` also holds decided transactions
+    /// until their write-op clocks fall below the stability floor (see
+    /// [`CausalProto::prune`]), so the per-delivery ack scan walks this
+    /// smaller index instead; entries are dropped lazily once the decision
+    /// lands.
     ack_waiting: BTreeSet<TxnId>,
     /// Per-origin maximum commit-request sequence delivered so far.
     /// `cr_seq` values from one origin only grow, so "some delivered
@@ -94,11 +98,25 @@ pub struct CausalProto {
     /// comparing this clock against `last_bcast_vc` — O(n) per tick
     /// instead of a scan over every transaction ever seen.
     max_cr_seq: VectorClock,
-    /// Transactions with at least one delivered write operation and no
-    /// decision yet — the candidate set for per-key concurrency
-    /// classification on each delivered write. Pruned lazily as
-    /// decisions land, like [`CausalProto::ack_waiting`].
-    open_writers: BTreeSet<TxnId>,
+    /// Per-key writer index: `t` is listed under `k` exactly when
+    /// `info[t].write_ops` holds `k`. Concurrency classification — early
+    /// detection on a delivered write and the decision rule — checks only
+    /// the peers listed under its own keys. A list that empties is kept,
+    /// so a key written again costs no allocation.
+    writers: BTreeMap<Key, Vec<TxnId>>,
+    /// Total length of the `writers` lists.
+    indexed: usize,
+    /// `indexed` at which the next [`CausalProto::prune`] sweep runs: at
+    /// least one entry per key and twice what the last sweep left, so a
+    /// sweep costs O(1) amortised per delivered write.
+    prune_at: usize,
+    /// Clock of the last delivery from each of the n sites, recorded from
+    /// the first sweep on (empty before it, so short runs never pay for
+    /// it). Their component-wise minimum is the causal stability floor:
+    /// causal delivery is FIFO per origin, so every later delivery
+    /// dominates it. Sites not heard from since recording began hold the
+    /// floor at zero.
+    last_delivered: Vec<VectorClock>,
     /// Cadence control of the periodic null/gap-report broadcast.
     backoff: RetransmitBackoff,
     /// `(sum of remote clock components, pending holes)` at the last tick —
@@ -131,7 +149,10 @@ impl CausalProto {
             last_bcast_vc: VectorClock::new(n),
             ack_waiting: BTreeSet::new(),
             max_cr_seq: VectorClock::new(n),
-            open_writers: BTreeSet::new(),
+            writers: BTreeMap::new(),
+            indexed: 0,
+            prune_at: FIRST_PRUNE,
+            last_delivered: Vec::new(),
             backoff: RetransmitBackoff::new(me),
             last_progress: (0, 0),
         };
@@ -174,12 +195,18 @@ impl CausalProto {
 
     fn on_deliver(&mut self, cx: &mut Cx<'_>, d: causal::Delivery<Arc<Payload>>) {
         let sender = d.id.origin;
+        if let Some(last) = self.last_delivered.get_mut(sender.0) {
+            last.copy_from(&d.vc);
+        }
         // A NACK must take effect before the same message is credited as
         // its sender's implicit acknowledgement — otherwise the NACK's own
         // clock could complete the ack set and commit the transaction it
-        // rejects.
+        // rejects. A late NACK for a decided transaction changes nothing
+        // and must not bring back its pruned bookkeeping.
         if let Payload::Nack { txn, site } = &*d.payload {
-            self.info.entry(*txn).or_default().nacked.insert(*site);
+            if !cx.st.decided.contains_key(txn) {
+                self.info.entry(*txn).or_default().nacked.insert(*site);
+            }
         }
         // Every delivery is a potential implicit acknowledgement: the
         // sender's clock proves which commit requests it had delivered.
@@ -189,7 +216,7 @@ impl CausalProto {
             Payload::Write {
                 txn, prio, op, of, ..
             } => {
-                self.on_write(cx, *txn, *prio, op.clone(), *of, &d.vc);
+                self.on_write(cx, *txn, *prio, op.clone(), *of, d.vc);
             }
             &Payload::CommitReq {
                 txn,
@@ -225,10 +252,7 @@ impl CausalProto {
                 self.gate(cx, txn);
                 self.decide(cx, txn);
             }
-            &Payload::Nack { txn, site } => {
-                self.info.entry(txn).or_default().nacked.insert(site);
-                self.decide(cx, txn);
-            }
+            &Payload::Nack { txn, .. } => self.decide(cx, txn),
             Payload::Null => {}
             Payload::Vote { .. } | Payload::AbortDecision { .. } => {
                 // Not used by this protocol.
@@ -282,44 +306,39 @@ impl CausalProto {
         prio: TxnPriority,
         op: bcastdb_db::WriteOp,
         of: usize,
-        vc: &VectorClock,
+        vc: VectorClock,
     ) {
-        self.info
-            .entry(txn)
-            .or_default()
-            .write_ops
-            .insert(op.key.clone(), vc.clone());
-        self.open_writers.insert(txn);
+        if self.indexed >= self.prune_at {
+            self.prune(&cx.st.decided);
+        }
+        let ops = &mut self.info.entry(txn).or_default().write_ops;
+        if ops.insert(op.key.clone(), vc).is_none() {
+            match self.writers.get_mut(&op.key) {
+                Some(list) => list.push(txn),
+                None => {
+                    self.writers.insert(op.key.clone(), vec![txn]);
+                }
+            }
+            self.indexed += 1;
+        }
+        let vc = &self.info[&txn].write_ops[&op.key];
         // Early conflict detection: another *operation* on the same key
         // whose clock is concurrent with this one means the two
         // transactions conflict irreconcilably. Only undecided writers can
-        // conflict, so walk the `open_writers` index (pruning what has
-        // been decided since) rather than every transaction in `st.remote`.
+        // conflict; losers are aborted in transaction order.
         let mut peers: Vec<(TxnId, TxnPriority)> = Vec::new();
-        let mut settled: Vec<TxnId> = Vec::new();
-        for &peer in &self.open_writers {
-            if peer == txn {
+        for &peer in &self.writers[&op.key] {
+            if peer == txn
+                || !self.info[&peer].write_ops[&op.key].concurrent_with(vc)
+                || cx.st.decided.contains_key(&peer)
+            {
                 continue;
             }
-            if cx.st.decided.contains_key(&peer) {
-                settled.push(peer);
-                continue;
-            }
-            let Some(entry) = cx.st.remote.get(&peer) else {
-                continue;
-            };
-            let Some(pinfo) = self.info.get(&peer) else {
-                continue;
-            };
-            if let Some(pvc) = pinfo.write_ops.get(&op.key) {
-                if pvc.concurrent_with(vc) {
-                    peers.push((peer, entry.prio));
-                }
+            if let Some(entry) = cx.st.remote.get(&peer) {
+                peers.push((peer, entry.prio));
             }
         }
-        for peer in settled {
-            self.open_writers.remove(&peer);
-        }
+        peers.sort_unstable_by_key(|&(peer, _)| peer);
         let mut doomed_self = false;
         for (peer, peer_prio) in peers {
             let loser = if prio.older_than(&peer_prio) {
@@ -339,6 +358,54 @@ impl CausalProto {
         cx.st
             .deliver_write_op(txn, prio, op, of, cx.now, &mut events);
         cx.push_events(events);
+    }
+
+    /// Drops the index entries no verdict can depend on again, then the
+    /// `info` of decided transactions left without any. An entry of `p`
+    /// under `k` goes only when
+    /// - `p` is decided;
+    /// - its clock is at or below the causal stability floor, so every
+    ///   later delivery dominates it and none can be concurrent with it;
+    /// - no undecided writer of `k` is concurrent with it: a decided older
+    ///   peer still makes a younger concurrent writer lose.
+    fn prune(&mut self, decided: &BTreeMap<TxnId, bool>) {
+        if self.last_delivered.is_empty() {
+            let n = self.max_cr_seq.len();
+            self.last_delivered = vec![VectorClock::new(n); n];
+        }
+        let last = &self.last_delivered;
+        let below_floor = |vc: &VectorClock| last.iter().all(|l| vc.dominated_by(l));
+        for (key, list) in &mut self.writers {
+            // In place: the undecided-writer test reads the list itself.
+            let mut i = 0;
+            while i < list.len() {
+                let p = list[i];
+                let clock = |t: &TxnId| &self.info[t].write_ops[key];
+                let stable = decided.contains_key(&p) && {
+                    let pvc = clock(&p);
+                    below_floor(pvc)
+                        && !list
+                            .iter()
+                            .any(|q| !decided.contains_key(q) && clock(q).concurrent_with(pvc))
+                };
+                if stable {
+                    list.swap_remove(i);
+                    self.indexed -= 1;
+                    let info = self.info.get_mut(&p).expect("indexed");
+                    info.write_ops.remove(key);
+                } else {
+                    i += 1;
+                }
+            }
+        }
+        self.info
+            .retain(|t, info| !info.write_ops.is_empty() || !decided.contains_key(t));
+        self.prune_at = (2 * self.indexed).max(self.indexed + self.writers.len());
+    }
+
+    /// Live protocol state: `info` entries plus index entries.
+    fn live(&self) -> usize {
+        self.info.len() + self.indexed
     }
 
     /// Runs the local-reader gate for `txn` before this site's implicit
@@ -481,24 +548,20 @@ impl Protocol for CausalProto {
         }
         // Deterministic evaluation: the ack set closes the concurrency
         // window, so every concurrent conflicting candidate operation is
-        // already delivered here. An older peer with a same-key
-        // operation concurrent with ours → we abort.
-        let my_ops = &info.write_ops;
+        // already delivered here. An older peer — decided or not — with a
+        // same-key operation concurrent with ours → we abort. Only peers
+        // the writer index lists under our keys can qualify.
         let my_prio = entry.prio;
-        let loses = self.info.iter().any(|(peer, pinfo)| {
-            if *peer == txn {
-                return false;
-            }
-            let Some(pentry) = cx.st.remote.get(peer) else {
-                return false;
-            };
-            pentry.prio.older_than(&my_prio)
-                && my_ops.iter().any(|(key, my_vc)| {
-                    pinfo
-                        .write_ops
-                        .get(key)
-                        .is_some_and(|pvc| pvc.concurrent_with(my_vc))
-                })
+        let loses = info.write_ops.iter().any(|(key, my_vc)| {
+            self.writers[key].iter().any(|peer| {
+                *peer != txn
+                    && self.info[peer].write_ops[key].concurrent_with(my_vc)
+                    && cx
+                        .st
+                        .remote
+                        .get(peer)
+                        .is_some_and(|p| p.prio.older_than(&my_prio))
+            })
         });
         if loses {
             cx.st.trace_decided(txn, false, cx.now);
@@ -565,6 +628,10 @@ impl Protocol for CausalProto {
                 || (self.recover_losses && self.cb.pending_len() > 0))
     }
 
+    fn gauges(&self, me: SiteId, sample: &mut Sample) {
+        sample.set_site(me, "causal.live", self.live() as u64);
+    }
+
     fn snapshot(&self) -> ProtoSnapshot {
         ProtoSnapshot::Causal(self.cb.clock().clone())
     }
@@ -575,8 +642,12 @@ impl Protocol for CausalProto {
             self.last_bcast_vc = self.cb.clock().clone();
             self.info.clear();
             self.ack_waiting.clear();
-            self.max_cr_seq = VectorClock::new(self.max_cr_seq.len());
-            self.open_writers.clear();
+            let n = self.max_cr_seq.len();
+            self.max_cr_seq = VectorClock::new(n);
+            self.writers.clear();
+            self.indexed = 0;
+            self.prune_at = FIRST_PRUNE;
+            self.last_delivered.clear();
         }
     }
 }
@@ -705,21 +776,137 @@ mod tests {
         }
     }
 
+    /// Runs `f` on the protocol at `site` and queues what it sends.
+    fn at(rig: &mut Rig, site: usize, f: impl FnOnce(&mut CausalProto, &mut Cx<'_>)) {
+        let mut fx = Effects::new();
+        rig.drivers[site].with_proto(&mut rig.states[site], &mut fx, SimTime::from_micros(3), f);
+        rig.absorb(SiteId(site), fx);
+    }
+
+    /// Runs a prune sweep at `site` now, whatever the cadence says.
+    fn sweep(rig: &mut Rig, site: usize) {
+        at(rig, site, |p, cx| p.prune(&cx.st.decided));
+    }
+
+    #[test]
+    fn decided_older_peer_still_beats_a_later_delivered_concurrent_writer() {
+        let mut rig = rig(3);
+        // Concurrent by construction; site 1 sees nothing of `older` until
+        // the end.
+        let older = rig.submit(0, 10, TxnSpec::new().write("x", 1));
+        let younger = rig.submit(1, 20, TxnSpec::new().write("x", 2));
+        for site in [0, 2] {
+            sweep(&mut rig, site); // starts recording delivered clocks
+        }
+        // Site 2 delivers `older` and rejects it; its NACK aborts `older`
+        // at site 0 too.
+        rig.deliver_link(0, 2);
+        at(&mut rig, 2, |p, cx| p.abort_with_nack(cx, older));
+        rig.deliver_link(2, 0);
+        // The decided `older` must survive a sweep: site 1 has not
+        // delivered it, so its clock is not below the stability floor.
+        for site in [0, 2] {
+            sweep(&mut rig, site);
+        }
+        // Only now does `younger`'s write reach sites 0 and 2, where
+        // `older` is decided: early detection passes it over.
+        rig.deliver_link(1, 0);
+        rig.deliver_link(1, 2);
+        for site in [0, 2] {
+            assert_eq!(rig.states[site].decided.get(&older), Some(&false));
+            assert!(!rig.states[site].decided.contains_key(&younger));
+        }
+        // Site 0's null completes site 2's ack set for `younger` before any
+        // NACK of it exists: the decision rule alone must reject it.
+        rig.tick(0);
+        rig.deliver_link(0, 2);
+        assert_eq!(rig.states[2].decided.get(&younger), Some(&false));
+        rig.settle();
+        for (i, st) in rig.states.iter().enumerate() {
+            assert_eq!(st.decided.get(&older), Some(&false), "older at {i}");
+            assert_eq!(st.decided.get(&younger), Some(&false), "younger at {i}");
+            assert_eq!(st.store.value(&"x".into()), 0, "nothing installed at {i}");
+        }
+    }
+
+    #[test]
+    fn stable_decided_peer_stays_indexed_while_a_concurrent_writer_is_undecided() {
+        use bcastdb_broadcast::msg::MsgId;
+
+        let mut rig = rig(3);
+        let older = rig.submit(0, 10, TxnSpec::new().write("x", 1));
+        let younger = rig.submit(1, 20, TxnSpec::new().write("x", 2));
+        sweep(&mut rig, 2); // starts recording delivered clocks
+        rig.deliver_link(0, 2);
+        at(&mut rig, 2, |p, cx| p.abort_with_nack(cx, older));
+        rig.deliver_link(1, 2);
+        // Site 1 vouches for `older` ([2,3,1] covers its write [1,0,0])
+        // without rejecting `younger` — as when `younger` lost at its
+        // origin by the decision rule, which sends no NACK.
+        let mut vc = VectorClock::new(3);
+        for (s, k) in [(0, 2), (1, 3), (2, 1)] {
+            vc.set(SiteId(s), k);
+        }
+        let null = ReplicaMsg::C(causal::Wire {
+            id: MsgId {
+                origin: SiteId(1),
+                seq: 3,
+            },
+            vc,
+            payload: Arc::new(Payload::Null),
+        });
+        rig.deliver((SiteId(1), SiteId(2), null));
+        // `older` is decided and below the floor at site 2, but the
+        // undecided `younger` is concurrent with it: the sweep keeps it.
+        sweep(&mut rig, 2);
+        assert!(!rig.states[2].decided.contains_key(&younger));
+        // Site 0 rejects `older` too, then acknowledges `younger`.
+        rig.deliver_link(2, 0);
+        rig.deliver_link(1, 0);
+        rig.tick(0);
+        rig.deliver_link(0, 2);
+        assert_eq!(rig.states[2].decided.get(&younger), Some(&false));
+    }
+
+    /// The largest `info` plus writer-index size over all sites.
+    fn max_live(rig: &mut Rig) -> usize {
+        let mut max = 0;
+        for site in 0..rig.states.len() {
+            at(rig, site, |p, _| max = max.max(p.live()));
+        }
+        max
+    }
+
+    #[test]
+    fn live_state_stays_flat_over_settled_rounds() {
+        let mut rig = rig(3);
+        let mut peak = [0; 3];
+        for round in 0..300u64 {
+            // Two concurrent writers of `x` (one aborts) beside a writer of
+            // its own key.
+            let ts = 3 * round;
+            rig.submit(0, ts + 1, TxnSpec::new().write("x", 1));
+            rig.submit(1, ts + 2, TxnSpec::new().write("x", 2).write("y", 2));
+            let key = format!("k{}", round % 4);
+            rig.submit(2, ts + 3, TxnSpec::new().write(key.as_str(), 3));
+            rig.settle();
+            assert!(!rig.states.iter().any(|st| st.has_undecided()));
+            let live = max_live(&mut rig);
+            let third = (round / 100) as usize;
+            peak[third] = peak[third].max(live);
+        }
+        // 900 transactions went through each site; what is kept is set by
+        // the key count and the prune cadence, not by history.
+        assert!(peak[1] <= 40, "live state {peak:?}");
+        assert!(peak[2] <= peak[1], "live state grew: {peak:?}");
+    }
+
     #[test]
     fn nack_aborts_at_every_site() {
         let mut rig = rig(3);
         let id = rig.submit(0, 1, TxnSpec::new().write("x", 5));
         // Site 2 rejects it out-of-band before settling.
-        {
-            let mut fx = Effects::new();
-            rig.drivers[2].with_proto(
-                &mut rig.states[2],
-                &mut fx,
-                SimTime::from_micros(3),
-                |p: &mut CausalProto, cx| p.abort_with_nack(cx, id),
-            );
-            rig.absorb(SiteId(2), fx);
-        }
+        at(&mut rig, 2, |p, cx| p.abort_with_nack(cx, id));
         rig.settle();
         for (i, st) in rig.states.iter().enumerate() {
             assert_eq!(

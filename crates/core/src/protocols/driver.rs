@@ -32,7 +32,7 @@ use bcastdb_broadcast::{causal, VectorClock};
 use bcastdb_db::lock::LockMode;
 use bcastdb_db::sg::ObservedVersion;
 use bcastdb_db::{Key, TxnId};
-use bcastdb_sim::{SimTime, SiteId};
+use bcastdb_sim::{Sample, SimTime, SiteId};
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -294,11 +294,9 @@ pub(crate) trait Protocol: fmt::Debug + Any {
     /// a quiet moment: in-flight bookkeeping is dropped.
     fn resume(&mut self, snap: &ProtoSnapshot, view: &BTreeSet<SiteId>);
 
-    /// The ring atomic-broadcast pipeline's `(inflight, forwarded)` gauges,
-    /// when that backend runs.
-    fn ring_gauges(&self) -> Option<(u64, u64)> {
-        None
-    }
+    /// Contributes this protocol's live-state gauges to a metrics sample.
+    /// Read-only: sampling must never change behaviour.
+    fn gauges(&self, _me: SiteId, _sample: &mut Sample) {}
 }
 
 /// Write-phase pacing: the next operation index of every local transaction
@@ -594,9 +592,9 @@ impl TxnDriver {
         self.view.suspected.clear();
     }
 
-    /// The ring backend's pipeline gauges, when it runs.
-    pub(crate) fn ring_gauges(&self) -> Option<(u64, u64)> {
-        self.proto.ring_gauges()
+    /// The protocol's live-state gauges.
+    pub(crate) fn gauges(&self, me: SiteId, sample: &mut Sample) {
+        self.proto.gauges(me, sample)
     }
 
     /// Runs `f` on the concrete protocol inside a context, then drains the

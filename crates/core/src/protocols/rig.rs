@@ -82,12 +82,30 @@ impl Rig {
         self.absorb(to, fx);
     }
 
+    /// Delivers, in queue order, the queued wires from `from` to `to`,
+    /// leaving every other wire queued.
+    pub(crate) fn deliver_link(&mut self, from: usize, to: usize) {
+        let (now, later): (VecDeque<Wire>, VecDeque<Wire>) = self
+            .wires
+            .drain(..)
+            .partition(|(f, t, _)| (f.0, t.0) == (from, to));
+        self.wires = later;
+        for wire in now {
+            self.deliver(wire);
+        }
+    }
+
+    /// Ticks one site.
+    pub(crate) fn tick(&mut self, site: usize) {
+        let mut fx = Effects::new();
+        self.drivers[site].on_tick(&mut self.states[site], &mut fx, SimTime::from_micros(50));
+        self.absorb(SiteId(site), fx);
+    }
+
     /// Ticks every site once.
     pub(crate) fn tick_all(&mut self) {
         for i in 0..self.states.len() {
-            let mut fx = Effects::new();
-            self.drivers[i].on_tick(&mut self.states[i], &mut fx, SimTime::from_micros(50));
-            self.absorb(SiteId(i), fx);
+            self.tick(i);
         }
     }
 
